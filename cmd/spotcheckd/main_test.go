@@ -274,6 +274,35 @@ func TestDaemonServerEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	decode(t, resp, http.StatusNotFound, nil)
+
+	// Details are rendered from typed records when /trace is read: every
+	// scope's events must come back with their subject and detail text.
+	d.advance(30 * 24 * simkit.Hour)
+	resp, err = client.Get(srv.URL + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dump struct {
+		Events []struct {
+			Scope   string `json:"scope"`
+			Subject string `json:"subject"`
+			Kind    string `json:"kind"`
+			Detail  string `json:"detail"`
+		} `json:"events"`
+	}
+	decode(t, resp, http.StatusOK, &dump)
+	scopes := map[string]int{}
+	for _, e := range dump.Events {
+		scopes[e.Scope]++
+		if e.Subject == "" || e.Detail == "" {
+			t.Errorf("trace event without subject or detail: %+v", e)
+		}
+	}
+	for _, scope := range []string{"vm", "host", "pool", "market"} {
+		if scopes[scope] == 0 {
+			t.Errorf("trace has no %s events (scopes %v)", scope, scopes)
+		}
+	}
 }
 
 // TestDaemonMetrics scrapes /metrics after simulated activity and checks the

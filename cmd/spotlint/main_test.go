@@ -234,7 +234,7 @@ func TestListAndUsage(t *testing.T) {
 	}
 	for _, want := range []string{
 		"determinism", "metrichygiene", "panicdiscipline", "goroutines", "tracecopy",
-		"errdiscipline", "duracc", "handlesafety", "lockdiscipline",
+		"errdiscipline", "duracc", "handlesafety", "lockdiscipline", "schedlabel",
 	} {
 		if !strings.Contains(stdout.String(), want) {
 			t.Errorf("-list missing %q:\n%s", want, stdout.String())

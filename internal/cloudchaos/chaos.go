@@ -110,7 +110,7 @@ func Wrap(inner cloud.Provider, sched *simkit.Scheduler, cfg Config) *Provider {
 }
 
 // delay postpones fn by the injected extra latency.
-func (p *Provider) delay(label string, fn func()) {
+func (p *Provider) delay(fn func()) {
 	if p.cfg.ExtraLatency <= 0 {
 		fn()
 		return
@@ -124,7 +124,7 @@ func (p *Provider) delay(label string, fn func()) {
 		bound++
 	}
 	d := simkit.Time(p.rng.Int63n(bound))
-	p.sched.After(d, "chaos-delay "+label, fn)
+	p.sched.After(d, "chaos-delay", fn)
 }
 
 // inject decides whether a fault fires for the given operation, counting
@@ -143,26 +143,26 @@ func (p *Provider) inject(op string) bool {
 // RunOnDemand injects launch failures and completion delays.
 func (p *Provider) RunOnDemand(typ string, zone cloud.Zone, cb cloud.InstanceCallback) {
 	if p.inject(OpRunOnDemand) {
-		p.delay("od-fail", func() {
+		p.delay(func() {
 			cb(nil, fmt.Errorf("launch %s: %w: %w", typ, ErrInjected, cloud.ErrCapacity))
 		})
 		return
 	}
 	p.Provider.RunOnDemand(typ, zone, func(inst *cloud.Instance, err error) {
-		p.delay("od-launch", func() { cb(inst, err) })
+		p.delay(func() { cb(inst, err) })
 	})
 }
 
 // RequestSpot injects launch failures and completion delays.
 func (p *Provider) RequestSpot(typ string, zone cloud.Zone, bid cloud.USD, cb cloud.InstanceCallback) {
 	if p.inject(OpRequestSpot) {
-		p.delay("spot-fail", func() {
+		p.delay(func() {
 			cb(nil, fmt.Errorf("spot %s: %w: %w", typ, ErrInjected, cloud.ErrCapacity))
 		})
 		return
 	}
 	p.Provider.RequestSpot(typ, zone, bid, func(inst *cloud.Instance, err error) {
-		p.delay("spot-launch", func() { cb(inst, err) })
+		p.delay(func() { cb(inst, err) })
 	})
 }
 
@@ -180,7 +180,7 @@ func (p *Provider) RequestSpot(typ string, zone cloud.Zone, bid cloud.USD, cb cl
 // core.abortInstall unwinding the same reservation twice).
 func (p *Provider) injectAsync(op, label string, organic error, cb cloud.Callback, call func(cloud.Callback) error) error {
 	if p.inject(op) {
-		p.delay(label+"-fail", func() {
+		p.delay(func() {
 			if cb != nil {
 				cb(fmt.Errorf("%s: %w: %w", label, ErrInjected, organic))
 			}
@@ -188,7 +188,7 @@ func (p *Provider) injectAsync(op, label string, organic error, cb cloud.Callbac
 		return nil
 	}
 	return call(func(err error) {
-		p.delay(label, func() {
+		p.delay(func() {
 			if cb != nil {
 				cb(err)
 			}

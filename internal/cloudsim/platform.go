@@ -497,7 +497,7 @@ func (p *Platform) RunOnDemand(typ string, zone cloud.Zone, cb cloud.InstanceCal
 	st := p.newInstance(it, zone, cloud.MarketOnDemand, 0)
 	h, id := st.slot, st.inst.ID
 	delay := simkit.SampleSeconds(p.cfg.Latencies.StartOnDemand, p.rng)
-	p.sched.After(delay, "od-launch "+string(id), func() {
+	p.sched.After(delay, "od-launch", func() {
 		// The slot may have been terminated-and-compacted mid-launch; the
 		// generation check catches a recycled handle.
 		st := p.instSlab.Get(h)
@@ -533,7 +533,7 @@ func (p *Platform) RequestSpot(typ string, zone cloud.Zone, bid cloud.USD, cb cl
 	st.market = spotmarket.MarketKey{Type: typ, Zone: zone}
 	h, id := st.slot, st.inst.ID
 	delay := simkit.SampleSeconds(p.cfg.Latencies.StartSpot, p.rng)
-	p.sched.After(delay, "spot-launch "+string(id), func() {
+	p.sched.After(delay, "spot-launch", func() {
 		st := p.instSlab.Get(h)
 		if st == nil {
 			cb(nil, fmt.Errorf("%w: instance %s terminated during launch", cloud.ErrBadState, id))
@@ -623,7 +623,7 @@ func (p *Platform) Terminate(id cloud.InstanceID, cb cloud.Callback) error {
 	p.stats.VoluntaryTerminations++
 	h := st.slot
 	delay := simkit.SampleSeconds(p.cfg.Latencies.Terminate, p.rng)
-	p.sched.After(delay, "terminate "+string(id), func() {
+	p.sched.After(delay, "terminate", func() {
 		// A forced kill may have beaten this event and compacted the slot;
 		// the handle check keeps the destroy off a recycled entry.
 		if st := p.instSlab.Get(h); st != nil {
@@ -825,7 +825,7 @@ func (p *Platform) walkMarket(key spotmarket.MarketKey, tr *spotmarket.Trace) {
 		if !ok {
 			return
 		}
-		p.sched.At(next, "price-change "+key.String(), func() {
+		p.sched.At(next, "price-change", func() {
 			if ticks != nil {
 				ticks.Inc()
 			}
@@ -870,7 +870,7 @@ func (p *Platform) warn(st *instanceState, price cloud.USD) {
 	if p.met != nil {
 		p.met.warnings.Inc()
 	}
-	st.forcedKill = p.sched.At(deadline, "forced-kill "+string(st.inst.ID), func() {
+	st.forcedKill = p.sched.At(deadline, "forced-kill", func() {
 		st.forcedKill = simkit.Event{}
 		if st.inst.State == cloud.StateTerminated {
 			return

@@ -25,9 +25,8 @@ type PoolKey struct {
 	Market cloud.Market
 }
 
-// String concatenates by hand rather than via fmt: pool keys label trace
-// events on the controller's hot path, where Sprintf's reflection is
-// measurable at fleet scale.
+// String concatenates by hand rather than via fmt: pool keys label
+// metric series and every rendered pool-scoped event.
 func (k PoolKey) String() string {
 	return k.Type + "/" + string(k.Zone) + "/" + k.Market.String()
 }
@@ -126,9 +125,6 @@ type Config struct {
 	// Default off: every VM's state is retained for the whole run, which
 	// the golden-figure experiments rely on.
 	RecycleReleased bool
-	// EventLogCap overrides the per-VM audit-timeline retention bound
-	// (default 256 events; the oldest half is dropped on overflow).
-	EventLogCap int
 
 	// Seed drives the controller's probabilistic policies.
 	Seed int64
@@ -238,6 +234,10 @@ type vmState struct {
 	// chain still references as its source; the pin keeps that host's slot
 	// from being recycled until the chain re-enters completeMove.
 	pinnedSrc *hostState
+	// events is the VM's bounded audit timeline as typed records (see
+	// record); num is the VM's creation number, its trace subject.
+	events []obs.Record
+	num    uint32
 }
 
 type hostRole int
@@ -280,6 +280,9 @@ type hostState struct {
 	// seq is the numeric tail of the instance id (see instanceSeq),
 	// cached when the host is bound to its instance.
 	seq uint64
+	// nameRef is the host's interned instance id in event records (0 until
+	// an event first mentions the host).
+	nameRef uint32
 }
 
 // instanceSeq extracts the trailing decimal sequence from an instance id
@@ -403,7 +406,10 @@ type Controller struct {
 	acqIndex map[acqKey][]*pendingAcq
 
 	history *History
-	events  *eventLog
+	// names interns the hosts, pools and strings event records refer to;
+	// traceSrc is the controller's source in the trace ring.
+	names    *eventNames
+	traceSrc obs.Source
 
 	nextVM int
 
@@ -548,10 +554,11 @@ func New(cfg Config) (*Controller, error) {
 		backupHosts: map[string]*hostState{},
 		acqIndex:    map[acqKey][]*pendingAcq{},
 		history:     NewHistory(),
-		events:      newEventLog(cfg.EventLogCap),
+		names:       newEventNames(),
 		retired:     retiredVMStats{byCustomer: map[string]*retiredCustomer{}},
 		met:         newCoreMetrics(cfg.Metrics, cfg.Trace),
 	}
+	c.traceSrc = cfg.Trace.Register(c.names)
 	if exp > 0 {
 		c.rentals = make([]rental, 0, exp)
 	}
@@ -611,7 +618,7 @@ func (c *Controller) lookupHost(id cloud.InstanceID) *hostState {
 // contents.
 func (c *Controller) newVMState() *vmState {
 	vs, h := c.vmSlab.Alloc()
-	*vs = vmState{slot: h}
+	*vs = vmState{slot: h, events: vs.events[:0]}
 	return vs
 }
 
@@ -656,11 +663,10 @@ func (c *Controller) freeVMSlot(vs *vmState) {
 		rc.down.add(d)
 	}
 	delete(c.vmIndex, vm.ID)
-	c.events.drop(vm.ID)
 	slot := vs.slot
 	// Keep the slot readable as "released" for any same-instant stale
-	// reader; the next Alloc fully resets it.
-	*vs = vmState{phase: phaseReleased}
+	// reader; the next Alloc resets it, reusing the timeline buffer.
+	*vs = vmState{phase: phaseReleased, events: vs.events[:0]}
 	c.vmSlab.Free(slot)
 }
 

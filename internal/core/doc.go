@@ -39,7 +39,6 @@
 // summation order. Fleet-scale runs opt in via Config: ExpectedVMs
 // pre-sizes the slabs and indexes, RecycleReleased returns released VM
 // slots (and retired hosts' slots) to the free lists after folding their
-// final accounting into integer-duration aggregates, and EventLogCap
-// bounds the per-VM audit timeline. Aggregate reports are unchanged;
-// per-VM introspection forgets recycled VMs.
+// final accounting into integer-duration aggregates. Aggregate reports
+// are unchanged; per-VM introspection forgets recycled VMs.
 package core

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/cloud"
+	"repro/internal/cloudsim"
 	"repro/internal/simkit"
 	"repro/internal/spotmarket"
 )
@@ -66,17 +68,113 @@ func TestEventTimelineAcrossRevocation(t *testing.T) {
 	}
 }
 
+// TestEventLogBounded overflows a real VM's timeline past timelineCap:
+// the timeline stays within the bound and the newest event survives.
 func TestEventLogBounded(t *testing.T) {
-	l := newEventLog(8)
-	for i := 0; i < 100; i++ {
-		l.add("vm", simkit.Time(i), EventMigrated, "n%d", i)
+	r := newRig(t, nil, nil)
+	id := r.request(t, "alice")
+	r.run(t, simkit.Hour)
+	vs := r.ctrl.lookupVM(id)
+	const n = 3*timelineCap + 1
+	for i := 1; i <= n; i++ {
+		r.ctrl.record(vs, evPaused, 0, uint64(i), 0)
 	}
-	evs := l.get("vm")
-	if len(evs) > 8 {
-		t.Errorf("log grew to %d, cap 8", len(evs))
+	evs := r.ctrl.Events(id)
+	if len(evs) > timelineCap {
+		t.Errorf("timeline grew to %d, cap %d", len(evs), timelineCap)
 	}
-	// The newest event survives.
-	if evs[len(evs)-1].Detail != "n99" {
-		t.Errorf("newest event lost: %v", evs[len(evs)-1])
+	last := evs[len(evs)-1]
+	if want := fmt.Sprintf("final flush pause (%v)", simkit.Time(n)); last.Kind != EventPaused || last.Detail != want {
+		t.Errorf("newest event = %v, want paused %q", last, want)
+	}
+}
+
+// TestRecordAllocs pins the hot path allocation-free: once a VM's timeline
+// has reached its cap, recording an event (timeline append plus trace
+// ring add) allocates nothing.
+func TestRecordAllocs(t *testing.T) {
+	r := newRig(t, nil, nil)
+	id := r.request(t, "alice")
+	r.run(t, simkit.Hour)
+	c := r.ctrl
+	vs := c.lookupVM(id)
+	h := vs.host
+	for i := 0; i < timelineCap; i++ {
+		c.record(vs, evMigrated, c.names.host(h), uint64(c.names.pool(h.key)), 0)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		c.record(vs, evMigrated, c.names.host(h), uint64(c.names.pool(h.key)), 0)
+	}); n != 0 {
+		t.Errorf("record allocates %.1f times per event, want 0", n)
+	}
+}
+
+// BenchmarkControllerRecord measures one timeline event on a warmed
+// timeline: interning lookups, the bounded append and the trace ring add.
+func BenchmarkControllerRecord(b *testing.B) {
+	tr, err := spotmarket.NewTrace([]spotmarket.Point{{T: 0, Price: 0.01}}, testEnd)
+	if err != nil {
+		b.Fatal(err)
+	}
+	traces := spotmarket.Set{{Type: cloud.M3Medium, Zone: "zone-a"}: tr}
+	sched := simkit.NewScheduler()
+	plat, err := cloudsim.New(sched, cloudsim.Config{Traces: traces, Latencies: cloudsim.ZeroOpLatencies()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := New(Config{Scheduler: sched, Provider: plat})
+	if err != nil {
+		b.Fatal(err)
+	}
+	id, err := c.RequestServer("alice", cloud.M3Medium)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sched.RunUntil(simkit.Hour)
+	vs := c.lookupVM(id)
+	h := vs.host
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.record(vs, evMigrated, c.names.host(h), uint64(c.names.pool(h.key)), 0)
+	}
+}
+
+// TestTraceRenderDuringRun renders the trace ring on another goroutine
+// while the simulation records events and interns new hosts and pools, as
+// spotcheckd's /trace handler does without the daemon lock.
+func TestTraceRenderDuringRun(t *testing.T) {
+	traces := spotmarket.Set{
+		{Type: cloud.M3Medium, Zone: "zone-a"}: makeTrace(t, 0.01, testEnd,
+			spike{at: 10 * simkit.Hour, dur: simkit.Hour, price: 0.50},
+			spike{at: 30 * simkit.Hour, dur: simkit.Hour, price: 0.50}),
+	}
+	r := newRig(t, traces, nil)
+	for i := 0; i < 4; i++ {
+		r.request(t, "alice")
+	}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, ev := range r.ctrl.Trace().Events() {
+				if ev.Subject == "" || ev.Detail == "" {
+					t.Errorf("rendered event without subject or detail: %+v", ev)
+					return
+				}
+			}
+		}
+	}()
+	r.run(t, 40*simkit.Hour)
+	close(stop)
+	<-done
+	if r.ctrl.Stats().Revocations == 0 {
+		t.Error("no revocations: the run recorded no migration events")
 	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/migration"
 	"repro/internal/obs"
 )
@@ -143,17 +141,6 @@ func (c *Controller) syncPoolOf(h *hostState) {
 	if pool := c.pools[h.key]; pool != nil {
 		c.met.syncPool(pool)
 	}
-}
-
-// traceEvent appends a structured event to the shared trace ring.
-func (c *Controller) traceEvent(scope, subject, kind, format string, args ...any) {
-	detail := format
-	if len(args) > 0 {
-		detail = fmt.Sprintf(format, args...)
-	}
-	c.met.trace.Add(obs.TraceEvent{
-		At: c.sched.Now(), Scope: scope, Subject: subject, Kind: kind, Detail: detail,
-	})
 }
 
 // Stats derives the controller counters from the metrics registry, keeping

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/cloud"
@@ -77,7 +78,7 @@ func (c *Controller) onRevocationWarning(w cloud.RevocationWarning) {
 		}
 		vs.vm.Revocations++
 		c.met.revocations.Inc()
-		c.record(vs.vm.ID, EventWarned, "host %s revoked (price %v), %v to deadline", h.inst.ID, w.Price, w.Deadline-c.sched.Now())
+		c.record(vs, evRevoked, c.names.host(h), math.Float64bits(float64(w.Price)), uint64(w.Deadline-c.sched.Now()))
 		c.migrateVM(vs, reasonRevocation, w.Deadline)
 	}
 }
@@ -102,7 +103,7 @@ func (c *Controller) recordStorm(key PoolKey, vms int) {
 	c.sched.After(0, "storm-observe", func() {
 		s := c.storms[idx]
 		c.met.stormVMs.Observe(float64(s.VMs))
-		c.traceEvent("pool", s.Pool.String(), "revocation-batch", "%d VMs displaced", s.VMs)
+		c.trace(evRevocationBatch, c.names.pool(s.Pool), 0, uint64(s.VMs), 0)
 	})
 }
 
@@ -119,7 +120,7 @@ func (c *Controller) migrateVM(vs *vmState, reason migrationReason, deadline sim
 	vs.phase = phaseMigrating
 	vs.vm.Migrations++
 	c.met.migStarted[reason].Inc()
-	c.traceEvent("vm", string(vs.vm.ID), "migration-start", "reason="+reason.String()+" host="+string(src.inst.ID))
+	c.trace(evMigrationStart, vs.num, c.names.host(src), uint64(reason), 0)
 	c.endLazyWindow(vs)
 	switch reason {
 	case reasonRevocation:
@@ -203,7 +204,7 @@ func (c *Controller) runBoundedMigration(vs *vmState, src *hostState, deadline s
 		// Yank: pause immediately on the warning and push the whole
 		// residue; the VM is down from the warning onward.
 		vm.Ledger.Set(nestedvm.CondDown, now)
-		c.sched.After(flush.Total, "flush-done "+string(vm.ID), func() {
+		c.sched.After(flush.Total, "flush-done", func() {
 			flushDone = true
 			proceed()
 		})
@@ -233,20 +234,20 @@ func (c *Controller) runBoundedMigration(vs *vmState, src *hostState, deadline s
 		}
 		paused = true
 		vm.Ledger.Set(nestedvm.CondDown, c.sched.Now())
-		c.record(vm.ID, EventPaused, "final flush pause (%v)", flush.Downtime)
-		c.sched.After(flush.Downtime, "flush-done "+string(vm.ID), func() {
+		c.record(vs, evPaused, 0, uint64(flush.Downtime), 0)
+		c.sched.After(flush.Downtime, "flush-done", func() {
 			flushDone = true
 			proceed()
 		})
 	}
-	c.sched.At(pauseBy, "pause-deadline "+string(vm.ID), beginFinal)
+	c.sched.At(pauseBy, "pause-deadline", beginFinal)
 	c.chooseDestinationRetry(vs, false, func(h *hostState, staged bool) {
 		destHost, stagedHop = h, staged
 		at := c.sched.Now()
 		if at < drainEnd {
 			at = drainEnd
 		}
-		c.sched.At(at, "pause "+string(vm.ID), beginFinal)
+		c.sched.At(at, "pause", beginFinal)
 		// The deadline may already have forced the pause and finished the
 		// flush while the destination was still coming up.
 		proceed()
@@ -271,7 +272,7 @@ func (c *Controller) runStatelessMigration(vs *vmState, src *hostState, deadline
 		}
 		c.replumb(vs, src, destHost, false)
 	}
-	c.sched.At(deadline, "stateless-kill "+string(vm.ID), func() {
+	c.sched.At(deadline, "stateless-kill", func() {
 		vm.Ledger.Set(nestedvm.CondDown, c.sched.Now())
 		sourceDead = true
 		proceed()
@@ -289,7 +290,7 @@ func (c *Controller) chooseDestinationRetry(vs *vmState, forceOD bool, ok func(*
 	c.chooseDestination(vs, forceOD, func(h *hostState, staged bool, err error) {
 		if err != nil {
 			c.met.destFails.Inc()
-			c.sched.After(c.cfg.MonitorInterval, "dest-retry "+string(vs.vm.ID), func() {
+			c.sched.After(c.cfg.MonitorInterval, "dest-retry", func() {
 				if c.shutdown {
 					return
 				}
@@ -401,7 +402,7 @@ func (c *Controller) restoreOnDestination(vs *vmState, src, dst *hostState, stag
 	vm := vs.vm
 	mech := c.cfg.Mechanism
 	if vs.stateless {
-		c.sched.After(simkit.Seconds(c.cfg.BootSeconds), "boot "+string(vm.ID), func() {
+		c.sched.After(simkit.Seconds(c.cfg.BootSeconds), "boot", func() {
 			c.completeMove(vs, src, dst)
 		})
 		return
@@ -425,12 +426,12 @@ func (c *Controller) restoreOnDestination(vs *vmState, src, dst *hostState, stag
 		res = migration.RestoreResult{Downtime: simkit.Second}
 	}
 	c.met.mig.RecordRestore(mech.Lazy(), res)
-	c.sched.After(res.Downtime, "restore "+string(vm.ID), func() {
+	c.sched.After(res.Downtime, "restore", func() {
 		c.completeMove(vs, src, dst)
 		if mech.Lazy() && res.DegradedTime > 0 && vs.phase == phaseRunning {
 			vm.Ledger.Set(nestedvm.CondDegraded, c.sched.Now())
 			vs.restoreSrv = srv
-			vs.lazyDegradeEvent = c.sched.After(res.DegradedTime, "prefetch-done "+string(vm.ID), func() {
+			vs.lazyDegradeEvent = c.sched.After(res.DegradedTime, "prefetch-done", func() {
 				vs.lazyDegradeEvent = simkit.Event{}
 				c.endLazyWindow(vs)
 				if vs.phase == phaseRunning {
@@ -448,7 +449,7 @@ func (c *Controller) restoreOnDestination(vs *vmState, src, dst *hostState, stag
 			// instance id — instance ids are monotonic and never reused.
 			vh := vs.slot
 			dstID := dst.inst.ID
-			c.sched.After(c.cfg.MonitorInterval, "staging-hop "+string(vm.ID), func() {
+			c.sched.After(c.cfg.MonitorInterval, "staging-hop", func() {
 				if c.vmSlab.Get(vh) == nil {
 					return
 				}
@@ -485,7 +486,7 @@ func (c *Controller) completeMove(vs *vmState, src, dst *hostState) {
 		withBackup := c.cfg.Mechanism.UsesBackup() && !vs.stateless
 		if !withBackup && !vs.stateless {
 			c.met.stateLost.Inc()
-			c.record(vm.ID, EventStateLost, "destination %s died mid-migration", dst.inst.ID)
+			c.record(vs, evDestDied, c.names.host(dst), 0, 0)
 		}
 		c.maybeRetireHost(src)
 		// The recovery chain below re-plumbs *from* the dead destination, so
@@ -498,7 +499,7 @@ func (c *Controller) completeMove(vs *vmState, src, dst *hostState) {
 				c.replumb(vs, dst, h, staged)
 				return
 			}
-			c.sched.After(simkit.Seconds(c.cfg.RebootSeconds), "reboot "+string(vm.ID), func() {
+			c.sched.After(simkit.Seconds(c.cfg.RebootSeconds), "reboot", func() {
 				c.moveLive(vs, dst, h)
 			})
 		})
@@ -511,11 +512,11 @@ func (c *Controller) completeMove(vs *vmState, src, dst *hostState) {
 	vm.Ledger.Set(nestedvm.CondNormal, c.sched.Now())
 	c.syncPoolOf(src)
 	c.syncPoolOf(dst)
-	kind := EventMigrated
+	code := evMigrated
 	if dst.key.Market == cloud.MarketSpot {
-		kind = EventReturned
+		code = evReturned
 	}
-	c.record(vm.ID, kind, "now on "+string(dst.inst.ID)+" ("+dst.key.String()+")")
+	c.record(vs, code, c.names.host(dst), uint64(c.names.pool(dst.key)), 0)
 
 	if c.cfg.Mechanism.UsesBackup() {
 		if dst.key.Market == cloud.MarketSpot {
@@ -539,7 +540,7 @@ func (c *Controller) completeMove(vs *vmState, src, dst *hostState) {
 		}
 		vm.Revocations++
 		c.met.revocations.Inc()
-		c.record(vm.ID, EventWarned, "landed on already-warned host %s", dst.inst.ID)
+		c.record(vs, evLandedWarned, c.names.host(dst), 0, 0)
 		c.migrateVM(vs, reasonRevocation, deadline)
 	}
 }
@@ -571,12 +572,12 @@ func (c *Controller) runLiveEvacuation(vs *vmState, src *hostState, deadline sim
 			if pauseAt < now {
 				pauseAt = now
 			}
-			c.sched.At(pauseAt, "live-pause "+string(vm.ID), func() {
+			c.sched.At(pauseAt, "live-pause", func() {
 				if vs.phase == phaseMigrating {
 					vm.Ledger.Set(nestedvm.CondDown, c.sched.Now())
 				}
 			})
-			c.sched.At(copyDone, "live-done "+string(vm.ID), func() {
+			c.sched.At(copyDone, "live-done", func() {
 				// A deadline-free (proactive/predictive) migration can
 				// still lose its source: a real warning may have arrived
 				// mid-copy and the platform force-terminated it before
@@ -592,8 +593,8 @@ func (c *Controller) runLiveEvacuation(vs *vmState, src *hostState, deadline sim
 					}
 					// No checkpoint: memory state is gone; reboot.
 					c.met.stateLost.Inc()
-					c.record(vm.ID, EventStateLost, "predictive miss with no backup server")
-					c.sched.After(simkit.Seconds(c.cfg.RebootSeconds), "reboot "+string(vm.ID), func() {
+					c.record(vs, evPredictiveMiss, 0, 0, 0)
+					c.sched.After(simkit.Seconds(c.cfg.RebootSeconds), "reboot", func() {
 						c.moveLive(vs, src, dst)
 					})
 					return
@@ -605,18 +606,18 @@ func (c *Controller) runLiveEvacuation(vs *vmState, src *hostState, deadline sim
 		// Lost: the platform killed the source mid-copy. Memory state is
 		// gone; the VM reboots from its network volume on the destination.
 		c.met.stateLost.Inc()
-		c.record(vm.ID, EventStateLost, "live migration exceeded the warning window")
+		c.record(vs, evLiveOverrun, 0, 0, 0)
 		downAt := deadline
 		if downAt < now {
 			downAt = now
 		}
-		c.sched.At(downAt, "lost "+string(vm.ID), func() {
+		c.sched.At(downAt, "lost", func() {
 			if vs.phase == phaseMigrating {
 				vm.Ledger.Set(nestedvm.CondDown, c.sched.Now())
 			}
 		})
 		rebootDone := downAt + simkit.Seconds(c.cfg.RebootSeconds)
-		c.sched.At(rebootDone, "reboot "+string(vm.ID), func() {
+		c.sched.At(rebootDone, "reboot", func() {
 			c.moveLive(vs, src, dst)
 		})
 	})
@@ -674,7 +675,7 @@ func (c *Controller) runLiveReturn(vs *vmState, src *hostState) {
 		vs.phase = phaseRunning
 		vm.Migrations--
 		c.met.migAborted.Inc()
-		c.traceEvent("vm", string(vm.ID), "migration-abort", "spot target vanished; staying on-demand")
+		c.trace(evMigrationAbort, vs.num, 0, 0, 0)
 		if vm.Ledger.Condition() != nestedvm.CondNormal {
 			vm.Ledger.Set(nestedvm.CondNormal, c.sched.Now())
 		}
@@ -708,12 +709,12 @@ func (c *Controller) runLiveReturn(vs *vmState, src *hostState) {
 		if pauseAt < now {
 			pauseAt = now
 		}
-		c.sched.At(pauseAt, "live-pause "+string(vm.ID), func() {
+		c.sched.At(pauseAt, "live-pause", func() {
 			if vs.phase == phaseMigrating {
 				vm.Ledger.Set(nestedvm.CondDown, c.sched.Now())
 			}
 		})
-		c.sched.At(copyDone, "live-done "+string(vm.ID), func() {
+		c.sched.At(copyDone, "live-done", func() {
 			c.moveLive(vs, src, dst)
 		})
 	})

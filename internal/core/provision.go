@@ -3,8 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
-	"strconv"
 
 	"repro/internal/backup"
 	"repro/internal/cloud"
@@ -46,7 +46,7 @@ func (c *Controller) RequestServerWithOptions(opts ServerOptions) (nestedvm.ID, 
 		return "", fmt.Errorf("core: type %q is not HVM-capable; the nested hypervisor requires HVM hosts", opts.Type)
 	}
 	c.nextVM++
-	id := nestedvm.ID(fmt.Sprintf("nvm-%05d", c.nextVM))
+	id := vmName(uint32(c.nextVM))
 	mem := nestedvm.DefaultMemory()
 	mem.DirtyMBs = c.cfg.Workload.DirtyMBs
 	vm, err := nestedvm.NewVM(id, opts.Customer, typ, mem, c.sched.Now())
@@ -58,9 +58,14 @@ func (c *Controller) RequestServerWithOptions(opts ServerOptions) (nestedvm.ID, 
 	vs.phase = phaseProvisioning
 	vs.workload = c.cfg.Workload
 	vs.stateless = opts.Stateless
+	vs.num = uint32(c.nextVM)
 	c.vmIndex[id] = vs.slot
 	c.met.vmsCreated.Inc()
-	c.record(id, EventRequested, opts.Customer+" requested a "+opts.Type+" (stateless="+strconv.FormatBool(opts.Stateless)+")")
+	var stateless uint64
+	if opts.Stateless {
+		stateless = 1
+	}
+	c.record(vs, evRequested, c.names.str(opts.Customer), uint64(c.names.str(opts.Type)), stateless)
 	c.placeNew(vs, 0)
 	return id, nil
 }
@@ -79,7 +84,7 @@ func (c *Controller) placeNew(vs *vmState, attempts int) {
 				if err != nil {
 					// Nothing left to try; park and retry placement later.
 					c.met.destFails.Inc()
-					c.sched.After(c.cfg.MonitorInterval, "replace "+string(vs.vm.ID), func() {
+					c.sched.After(c.cfg.MonitorInterval, "replace", func() {
 						c.placeNew(vs, 0)
 					})
 					return
@@ -220,7 +225,7 @@ func (c *Controller) acquireHost(key PoolKey, slotType cloud.InstanceType, _ *vm
 		c.maybeScrubRentals()
 		c.met.hostAcquired(key)
 		c.met.syncPool(pool)
-		c.traceEvent("host", string(inst.ID), "acquired", "pool="+key.String()+" capacity="+strconv.Itoa(acq.capacity))
+		c.trace(evHostAcquired, c.names.host(h), 0, uint64(c.names.pool(key)), uint64(acq.capacity))
 		if acq.capacity > 1 {
 			c.met.sliced.Inc()
 		}
@@ -243,7 +248,7 @@ func (c *Controller) acquireHost(key PoolKey, slotType cloud.InstanceType, _ *vm
 		bid := c.cfg.Bidding.Bid(od)
 		pool.bid = bid
 		c.met.bidPlaced(key, float64(bid))
-		c.traceEvent("market", key.String(), "bid", "bid=%v od=%v", bid, od)
+		c.trace(evBid, c.names.pool(key), 0, math.Float64bits(float64(bid)), math.Float64bits(float64(od)))
 		c.prov.RequestSpot(key.Type, key.Zone, bid, finish)
 	case cloud.MarketOnDemand:
 		c.prov.RunOnDemand(key.Type, key.Zone, finish)
@@ -326,7 +331,7 @@ func (c *Controller) installVM(vs *vmState, h *hostState) {
 	if err != nil {
 		h.reserved--
 		c.hostFreed(h)
-		c.sched.After(c.cfg.MonitorInterval, "re-place "+string(vm.ID), func() { c.placeNew(vs, 0) })
+		c.sched.After(c.cfg.MonitorInterval, "re-place", func() { c.placeNew(vs, 0) })
 		return
 	}
 	vm.IP = addr
@@ -373,7 +378,7 @@ func (c *Controller) abortInstall(vs *vmState, h *hostState, err error) {
 		// Unexpected failures still retry, but are counted.
 		c.met.destFails.Inc()
 	}
-	c.sched.After(c.cfg.MonitorInterval, "re-place "+string(vs.vm.ID), func() { c.placeNew(vs, 0) })
+	c.sched.After(c.cfg.MonitorInterval, "re-place", func() { c.placeNew(vs, 0) })
 }
 
 // startService puts the VM into service on the host.
@@ -392,7 +397,7 @@ func (c *Controller) startService(vs *vmState, h *hostState) {
 	vm.Created = c.sched.Now()
 	vm.Ledger.Start(c.sched.Now())
 	c.syncPoolOf(h)
-	c.record(vm.ID, EventPlaced, "running on "+string(h.inst.ID)+" ("+h.key.String()+")")
+	c.record(vs, evPlaced, c.names.host(h), uint64(c.names.pool(h.key)), 0)
 	// Spot-hosted VMs under a backup-using mechanism continuously
 	// checkpoint to a backup server; on-demand hosts rely on live
 	// migration and need none (§4.2).
@@ -504,7 +509,7 @@ func (c *Controller) teardownVM(vs *vmState) {
 	vs.phase = phaseReleased
 	vs.serviceEnd = c.sched.Now()
 	c.met.vmsReleased.Inc()
-	c.record(vm.ID, EventReleased, "released by customer")
+	c.record(vs, evReleased, 0, 0, 0)
 	if wasRunning {
 		vm.Ledger.Set(nestedvm.CondNormal, c.sched.Now())
 	}
@@ -579,7 +584,7 @@ func (c *Controller) forgetHost(h *hostState) {
 		pool.vmCount -= len(h.vms)
 		c.met.syncPool(pool)
 	}
-	c.traceEvent("host", string(h.inst.ID), "retired", "pool="+h.key.String())
+	c.trace(evHostRetired, c.names.host(h), 0, uint64(c.names.pool(h.key)), 0)
 	// Recycle the slot: nothing references this state anymore (no resident
 	// VMs, no reservations, no pins).
 	for i := range h.vms {

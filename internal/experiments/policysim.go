@@ -339,7 +339,7 @@ func runPolicyOne(cfg PolicyRunConfig, plan *shardPlan) (PolicyRunResult, error)
 	for i := 0; i < cfg.VMs; i++ {
 		if len(cfg.ArrivalOffsets) > 0 && cfg.ArrivalOffsets[i] > 0 {
 			i := i
-			sched.After(cfg.ArrivalOffsets[i], fmt.Sprintf("arrival vm-%d", i), func() {
+			sched.After(cfg.ArrivalOffsets[i], "arrival", func() {
 				if err := request(i); err != nil {
 					arrivalErrs = append(arrivalErrs, fmt.Errorf("arrival %d: %w", i, err))
 				}

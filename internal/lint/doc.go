@@ -14,6 +14,8 @@
 //   - goroutines: every go statement in non-test code needs a visible
 //     cancellation path (context, WaitGroup, or done channel) in its
 //     enclosing function.
+//   - schedlabel: simkit scheduler labels are compile-time string
+//     constants, never built per event on the simulation's hot path.
 //   - tracecopy: Trace.Points() copies the whole multi-thousand-point trace;
 //     the simulation hot-path packages must iterate via PointAt/Len or a
 //     Cursor instead (the PR 4/5 hot-path contract).

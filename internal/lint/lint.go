@@ -302,7 +302,7 @@ func sortFindings(out []Finding) {
 func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism, MetricHygiene, PanicDiscipline, Goroutines, TraceCopy,
-		ErrDiscipline, DurAcc, HandleSafety, LockDiscipline,
+		ErrDiscipline, DurAcc, HandleSafety, LockDiscipline, SchedLabel,
 	}
 }
 

@@ -14,9 +14,9 @@ import (
 //
 // The annotation is opt-in per field:
 //
-//	type eventLog struct {
-//		mu   sync.Mutex
-//		byVM map[nestedvm.ID][]Event // guarded by mu
+//	type eventNames struct {
+//		mu    sync.Mutex
+//		hosts []cloud.InstanceID // guarded by mu
 //	}
 //
 // Limits (no type information): only accesses through the method's

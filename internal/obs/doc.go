@@ -35,5 +35,7 @@
 // The Trace ring buffer keeps the last N structured events (migrations,
 // warnings, flush pauses) with monotonic sequence numbers; it overwrites
 // the oldest entries and counts what it dropped, bounding memory on
-// months-long simulations.
+// months-long simulations. Entries are typed Records — pointer-free
+// operands that the producer's Renderer formats only when the ring is
+// read — so appending formats and allocates nothing.
 package obs

@@ -8,6 +8,17 @@ import (
 	"repro/internal/simkit"
 )
 
+// migrationRenderer renders the example's trace records: the subject is a
+// VM number and operand A the migration attempt.
+type migrationRenderer struct{}
+
+func (migrationRenderer) RenderTrace(subject uint32, r obs.Record) obs.TraceEvent {
+	return obs.TraceEvent{
+		Scope: "vm", Subject: fmt.Sprintf("vm-%d", subject),
+		Kind: "migrated", Detail: fmt.Sprintf("attempt %d", r.A),
+	}
+}
+
 // Example shows the intended lifecycle: register instruments once, update
 // them on the hot path, then expose the registry as a Prometheus page and
 // query a snapshot programmatically.
@@ -25,26 +36,28 @@ func Example() {
 	occupancy.Set(12)
 	downtime.Observe(0.4)
 
-	// Structured event trace alongside the numeric metrics.
+	// Structured event trace alongside the numeric metrics: the hot path
+	// appends typed records, and the producer's renderer formats them only
+	// when the ring is read.
 	trace := obs.NewTrace(16)
-	trace.Add(obs.TraceEvent{
-		At: 30 * simkit.Second, Scope: "vm", Subject: "vm-7",
-		Kind: "migrated", Detail: "revocation",
-	})
+	src := trace.Register(migrationRenderer{})
+	trace.Add(src, 7, obs.Record{At: 30 * simkit.Second, A: 2})
 
 	snap := reg.Snapshot()
 	fmt.Printf("migrations: %.0f\n", snap.Total("spotcheck_migrations_total"))
 	if v, ok := snap.Value("spotcheck_pool_vms", obs.L("market", "spot")); ok {
 		fmt.Printf("spot pool: %.0f VMs\n", v)
 	}
-	fmt.Printf("trace: %d event(s)\n", trace.Len())
+	for _, ev := range trace.Events() {
+		fmt.Printf("trace: %v %s %s %s: %s\n", ev.At, ev.Scope, ev.Subject, ev.Kind, ev.Detail)
+	}
 
 	_ = reg.WritePrometheus(os.Stdout)
 
 	// Output:
 	// migrations: 2
 	// spot pool: 12 VMs
-	// trace: 1 event(s)
+	// trace: 30s vm vm-7 migrated: attempt 2
 	// # HELP spotcheck_migrations_total VM migrations by reason.
 	// # TYPE spotcheck_migrations_total counter
 	// spotcheck_migrations_total{reason="revocation"} 2

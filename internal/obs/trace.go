@@ -6,7 +6,7 @@ import (
 	"repro/internal/simkit"
 )
 
-// TraceEvent is one structured entry in the event-trace ring: what happened
+// TraceEvent is the readable form of one trace entry: what happened
 // (Kind), to whom (Scope + Subject) and when (virtual time At). Seq is a
 // monotonic sequence number assigned at append time, so consumers can
 // detect gaps left by ring overwrites.
@@ -19,15 +19,45 @@ type TraceEvent struct {
 	Detail  string      `json:"detail,omitempty"`
 }
 
-// Trace is a fixed-capacity ring buffer of TraceEvents. Appends overwrite
-// the oldest entries once full; Dropped reports how many were lost. All
-// methods are safe for concurrent use.
+// Record is a trace entry in compact typed form: when it happened, the
+// producer's event code and its operands. It holds no pointers and no text
+// (32 bytes), so appending one formats and allocates nothing; the
+// producer's Renderer turns it into a TraceEvent only when the ring is
+// read. Code, Ref, A and B mean whatever the producer defines them to.
+type Record struct {
+	At   simkit.Time
+	A, B uint64 // numeric operands
+	Ref  uint32 // entity operand, e.g. an interned name
+	Code uint16 // event shape
+}
+
+// Renderer expands a producer's records into readable events at read time.
+type Renderer interface {
+	// RenderTrace returns the Scope, Subject, Kind and Detail of the event
+	// r recorded for subject; the ring fills in Seq and At.
+	RenderTrace(subject uint32, r Record) TraceEvent
+}
+
+// Source identifies a producer registered with a Trace.
+type Source uint16
+
+// traceSlot is one ring entry: a record plus whose renderer reads it.
+type traceSlot struct {
+	rec     Record
+	subject uint32
+	src     Source
+}
+
+// Trace is a fixed-capacity ring buffer of typed trace records. Appends
+// overwrite the oldest entries once full; Dropped reports how many were
+// lost. All methods are safe for concurrent use.
 type Trace struct {
 	mu    sync.Mutex
-	buf   []TraceEvent // guarded by mu
-	start int          // index of the oldest entry; guarded by mu
-	n     int          // live entries; guarded by mu
-	seq   uint64       // next sequence number; guarded by mu
+	buf   []traceSlot // guarded by mu
+	start int         // index of the oldest entry; guarded by mu
+	n     int         // live entries; guarded by mu
+	seq   uint64      // next sequence number; guarded by mu
+	srcs  []Renderer  // registered producers, indexed by Source; guarded by mu
 }
 
 // DefaultTraceCap bounds trace memory when callers don't choose a size.
@@ -39,33 +69,53 @@ func NewTrace(capacity int) *Trace {
 	if capacity <= 0 {
 		capacity = DefaultTraceCap
 	}
-	return &Trace{buf: make([]TraceEvent, capacity)}
+	return &Trace{buf: make([]traceSlot, capacity)}
 }
 
-// Add appends an event, stamping its sequence number, and returns that
-// sequence number.
-func (t *Trace) Add(ev TraceEvent) uint64 {
+// Register adds a producer and returns the Source its records carry. One
+// ring can hold several producers' records; each renders its own.
+func (t *Trace) Register(r Renderer) Source {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ev.Seq = t.seq
+	t.srcs = append(t.srcs, r)
+	return Source(len(t.srcs) - 1)
+}
+
+// Add appends src's record r about subject and returns its sequence
+// number.
+func (t *Trace) Add(src Source, subject uint32, r Record) uint64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	seq := t.seq
 	t.seq++
 	i := (t.start + t.n) % len(t.buf)
-	t.buf[i] = ev
+	t.buf[i] = traceSlot{rec: r, subject: subject, src: src}
 	if t.n < len(t.buf) {
 		t.n++
 	} else {
 		t.start = (t.start + 1) % len(t.buf) // overwrote the oldest
 	}
-	return ev.Seq
+	return seq
 }
 
-// Events returns the retained events oldest-first.
+// Events renders the retained events oldest-first. The records are copied
+// under the lock and rendered after it is released, so a slow renderer
+// never stalls appends.
 func (t *Trace) Events() []TraceEvent {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]TraceEvent, 0, t.n)
-	for i := 0; i < t.n; i++ {
-		out = append(out, t.buf[(t.start+i)%len(t.buf)])
+	slots := make([]traceSlot, t.n)
+	for i := range slots {
+		slots[i] = t.buf[(t.start+i)%len(t.buf)]
+	}
+	first := t.seq - uint64(t.n)
+	srcs := append([]Renderer(nil), t.srcs...)
+	t.mu.Unlock()
+	out := make([]TraceEvent, len(slots))
+	for i, s := range slots {
+		ev := srcs[s.src].RenderTrace(s.subject, s.rec)
+		ev.Seq = first + uint64(i)
+		ev.At = s.rec.At
+		out[i] = ev
 	}
 	return out
 }

@@ -17,11 +17,11 @@
 // underbid someone; assigned VPC addresses are indexed so IP release and
 // duplicate checks never scan the ledger.
 //
-// Defaults retain every instance record for the whole run. Fleet-scale
-// runs opt in via Config: ExpectedInstances pre-sizes the ledger,
-// CompactTerminated recycles a terminated instance's slot (retaining its
-// final bill for AccruedCost), and PrefixBilling answers spot bills from
-// per-market prefix integrals in O(log n) instead of walking every price
-// segment the instance lived through. docs/SCALING.md quantifies the
-// result.
+// A terminated instance is compacted: its slot is recycled and only its id
+// and final bill remain, so AccruedCost keeps answering while Instance no
+// longer resolves it, and operations on it fail with ErrBadState. Spot
+// bills come from per-market prefix integrals in O(log n) instead of a walk
+// over every price segment the instance lived through (Trace.Integrate, the
+// tests' oracle). ExpectedInstances pre-sizes the ledger. docs/SCALING.md
+// quantifies the result.
 package cloudsim

@@ -50,16 +50,11 @@ type Config struct {
 	// fleet-scale runs, avoiding incremental rehash/regrow churn. Zero
 	// keeps the default sizing.
 	ExpectedInstances int
-	// CompactTerminated recycles an instance's ledger slot when it
-	// terminates, retaining only its id and final bill (AccruedCost keeps
-	// answering; Instance does not). Off by default: the default paths
-	// keep every record, and some callers inspect terminated instances.
+	// Deprecated: ignored; the fleet layout is the only layout. Kept
+	// because perfbench/traced.go and perfbench/workloads.go set it.
 	CompactTerminated bool
-	// PrefixBilling answers spot AccruedCost from per-market prefix
-	// integrals (O(log n)) instead of walking every price segment the
-	// instance lived through. The sum re-associates, so bills can differ
-	// from the default segment walk in the last ulps — which is why the
-	// golden-pinned default paths leave it off.
+	// Deprecated: ignored; the fleet layout is the only layout. Kept
+	// because perfbench/traced.go and perfbench/workloads.go set it.
 	PrefixBilling bool
 
 	// Metrics, if non-nil, receives platform instruments (price ticks,
@@ -107,13 +102,14 @@ type Platform struct {
 	nextInstance int
 	nextVolume   int
 	// instSlab holds every live instance's state in chunked, index-addressed
-	// storage; instByID maps external ids to generation-checked handles. In
-	// default runs slots are never freed (the ledger is append-only, as it
-	// always was); CompactTerminated recycles them at destroy.
+	// storage; instByID maps external ids to generation-checked handles.
+	// destroy compacts a terminated instance: its slot is recycled and only
+	// its id and final bill stay behind.
 	instSlab *slab.Slab[instanceState]
 	instByID map[cloud.InstanceID]slab.Handle
 	// finalCost retains compacted instances' whole-life bills so AccruedCost
-	// still answers after the ledger entry is gone (CompactTerminated only).
+	// still answers after the ledger entry is gone; an id in it is a
+	// terminated instance, not an unknown one.
 	finalCost map[cloud.InstanceID]cloud.USD
 	volumes   map[cloud.VolumeID]*cloud.Volume
 
@@ -126,8 +122,8 @@ type Platform struct {
 	// replacing whole-ledger scans in AssignIP/ReleaseIP.
 	ipAssigned map[cloud.Addr]*cloud.Instance
 
-	// prefix lazily caches per-market cumulative price integrals
-	// (PrefixBilling only).
+	// prefix lazily caches per-market cumulative price integrals for spot
+	// billing.
 	prefix map[spotmarket.MarketKey]*spotmarket.PrefixIntegral
 
 	// priceCursors give SpotPrice amortized-O(1) lookups: the controller's
@@ -379,12 +375,10 @@ func New(sched *simkit.Scheduler, cfg Config) (*Platform, error) {
 		spotByMarket: map[spotmarket.MarketKey]*spotList{},
 		ipAssigned:   make(map[cloud.Addr]*cloud.Instance, exp),
 		priceCursors: make(map[spotmarket.MarketKey]*spotmarket.Cursor, len(cfg.Traces)),
+		finalCost:    make(map[cloud.InstanceID]cloud.USD, exp),
 		ipPool:       newIPPool(cfg.VPC),
 		liveCount:    map[string]int{},
 		met:          newPlatMetrics(cfg.Metrics),
-	}
-	if cfg.CompactTerminated {
-		p.finalCost = make(map[cloud.InstanceID]cloud.USD, exp)
 	}
 	for _, it := range cfg.Catalog {
 		p.types[it.Name] = it
@@ -580,6 +574,19 @@ func (p *Platform) lookupInst(id cloud.InstanceID) *instanceState {
 	return p.instSlab.Get(h)
 }
 
+// liveInst is lookupInst for operations on an instance: a compacted id is a
+// terminated instance (ErrBadState), any other miss an unknown one
+// (ErrNotFound).
+func (p *Platform) liveInst(id cloud.InstanceID) (*instanceState, error) {
+	if st := p.lookupInst(id); st != nil {
+		return st, nil
+	}
+	if _, ok := p.finalCost[id]; ok {
+		return nil, fmt.Errorf("%w: instance %s terminated", cloud.ErrBadState, id)
+	}
+	return nil, fmt.Errorf("%w: instance %s", cloud.ErrNotFound, id)
+}
+
 func (p *Platform) newInstance(it cloud.InstanceType, zone cloud.Zone, market cloud.Market, bid cloud.USD) *instanceState {
 	p.nextInstance++
 	id := cloud.InstanceID(fmt.Sprintf("i-%06d", p.nextInstance))
@@ -612,9 +619,9 @@ func (p *Platform) finishLaunch(st *instanceState, cb cloud.InstanceCallback) {
 
 // Terminate implements cloud.Provider.
 func (p *Platform) Terminate(id cloud.InstanceID, cb cloud.Callback) error {
-	st := p.lookupInst(id)
-	if st == nil {
-		return fmt.Errorf("%w: instance %s", cloud.ErrNotFound, id)
+	st, err := p.liveInst(id)
+	if err != nil {
+		return err
 	}
 	if st.inst.State == cloud.StateTerminated || st.terminating {
 		return fmt.Errorf("%w: instance %s already terminated", cloud.ErrBadState, id)
@@ -676,9 +683,7 @@ func (p *Platform) destroy(st *instanceState) {
 			p.met.billed(st.inst.Market, float64(cost))
 		}
 	}
-	if p.cfg.CompactTerminated {
-		p.compact(st)
-	}
+	p.compact(st)
 }
 
 // compact recycles a terminated instance's ledger slot, keeping only its
@@ -696,8 +701,8 @@ func (p *Platform) compact(st *instanceState) {
 	p.instSlab.Free(slot)
 }
 
-// Instance implements cloud.Provider. Compacted (terminated, fleet-mode)
-// instances are no longer resolvable.
+// Instance implements cloud.Provider. Terminated instances are compacted
+// and no longer resolvable.
 func (p *Platform) Instance(id cloud.InstanceID) (*cloud.Instance, error) {
 	st := p.lookupInst(id)
 	if st == nil {
@@ -738,25 +743,18 @@ func (p *Platform) AccruedCost(id cloud.InstanceID) (cloud.USD, error) {
 	case cloud.MarketOnDemand:
 		return cloud.USD(float64(inst.Type.OnDemand) * end.Sub(inst.Launched).Hours()), nil
 	case cloud.MarketSpot:
-		if p.cfg.PrefixBilling {
-			pi, err := p.prefixFor(inst.Type.Name, inst.Zone)
-			if err != nil {
-				return 0, err
-			}
-			return pi.Integrate(inst.Launched, end), nil
-		}
-		tr, err := p.trace(inst.Type.Name, inst.Zone)
+		pi, err := p.prefixFor(inst.Type.Name, inst.Zone)
 		if err != nil {
 			return 0, err
 		}
-		return tr.Integrate(inst.Launched, end), nil
+		return pi.Integrate(inst.Launched, end), nil
 	default:
 		return 0, fmt.Errorf("%w: unknown market %v", cloud.ErrBadState, inst.Market)
 	}
 }
 
 // prefixFor returns the market's cumulative price integral, building it on
-// first use (PrefixBilling only).
+// first use.
 func (p *Platform) prefixFor(typ string, zone cloud.Zone) (*spotmarket.PrefixIntegral, error) {
 	key := spotmarket.MarketKey{Type: typ, Zone: zone}
 	if pi, ok := p.prefix[key]; ok {

@@ -277,6 +277,45 @@ func TestTerminateDuringPendingLaunch(t *testing.T) {
 	}
 }
 
+// TestCompactedInstanceIsBadState terminates an instance and lets destroy
+// compact its ledger slot: operations on the id must then report a
+// terminated instance (ErrBadState), not an unknown one, while its final
+// bill stays readable.
+func TestCompactedInstanceIsBadState(t *testing.T) {
+	sched, p := testPlatform(t, nil)
+	inst := runningInstance(t, sched, p)
+	vol, err := p.CreateVolume(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := p.AllocateIP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched.RunUntil(simkit.Hour)
+	if err := p.Terminate(inst.ID, nil); err != nil {
+		t.Fatal(err)
+	}
+	sched.RunUntil(2 * simkit.Hour)
+	if _, err := p.Instance(inst.ID); !errors.Is(err, cloud.ErrNotFound) {
+		t.Fatalf("Instance after terminate = %v, want the slot compacted (ErrNotFound)", err)
+	}
+	if cost, err := p.AccruedCost(inst.ID); err != nil || math.Abs(float64(cost)-0.07) > 1e-9 {
+		t.Errorf("final bill = %v, %v; want $0.07", cost, err)
+	}
+	calls := map[string]error{
+		"Terminate":    p.Terminate(inst.ID, nil),
+		"AttachVolume": p.AttachVolume(vol.ID, inst.ID, nil),
+		"AssignIP":     p.AssignIP(inst.ID, addr, nil),
+		"UnassignIP":   p.UnassignIP(inst.ID, addr, nil),
+	}
+	for name, err := range calls {
+		if !errors.Is(err, cloud.ErrBadState) {
+			t.Errorf("%s on a compacted instance = %v, want ErrBadState", name, err)
+		}
+	}
+}
+
 func TestWarningsAreDeterministicallyOrdered(t *testing.T) {
 	sched, p := testPlatform(t, nil)
 	for i := 0; i < 5; i++ {

@@ -26,9 +26,9 @@ func (p *Platform) AttachVolume(vol cloud.VolumeID, inst cloud.InstanceID, cb cl
 	if !ok {
 		return fmt.Errorf("%w: volume %s", cloud.ErrNotFound, vol)
 	}
-	st := p.lookupInst(inst)
-	if st == nil {
-		return fmt.Errorf("%w: instance %s", cloud.ErrNotFound, inst)
+	st, err := p.liveInst(inst)
+	if err != nil {
+		return err
 	}
 	if v.AttachedTo != "" {
 		return fmt.Errorf("%w: volume %s attached to %s", cloud.ErrBadState, vol, v.AttachedTo)
@@ -38,7 +38,7 @@ func (p *Platform) AttachVolume(vol cloud.VolumeID, inst cloud.InstanceID, cb cl
 	}
 	// Reserve immediately so concurrent attaches fail fast. The closure
 	// captures the instance, not its ledger slot: the slot may be recycled
-	// (fleet mode) before the attach lands, the instance never is.
+	// before the attach lands, the instance never is.
 	v.AttachedTo = inst
 	target := st.inst
 	delay := simkit.SampleSeconds(p.cfg.Latencies.AttachVolume, p.rng)
@@ -179,9 +179,9 @@ func (p *Platform) ReleaseIP(addr cloud.Addr) error {
 
 // AssignIP implements cloud.Provider.
 func (p *Platform) AssignIP(inst cloud.InstanceID, addr cloud.Addr, cb cloud.Callback) error {
-	st := p.lookupInst(inst)
-	if st == nil {
-		return fmt.Errorf("%w: instance %s", cloud.ErrNotFound, inst)
+	st, err := p.liveInst(inst)
+	if err != nil {
+		return err
 	}
 	if !p.ipPool.inUse[addr] {
 		return fmt.Errorf("%w: address %s not allocated", cloud.ErrNotFound, addr)
@@ -212,9 +212,9 @@ func (p *Platform) AssignIP(inst cloud.InstanceID, addr cloud.Addr, cb cloud.Cal
 
 // UnassignIP implements cloud.Provider.
 func (p *Platform) UnassignIP(inst cloud.InstanceID, addr cloud.Addr, cb cloud.Callback) error {
-	st := p.lookupInst(inst)
-	if st == nil {
-		return fmt.Errorf("%w: instance %s", cloud.ErrNotFound, inst)
+	st, err := p.liveInst(inst)
+	if err != nil {
+		return err
 	}
 	if !st.inst.HasIP(addr) {
 		return fmt.Errorf("%w: address %s not on instance %s", cloud.ErrBadState, addr, inst)

@@ -117,13 +117,8 @@ type Config struct {
 	// scale never grows them mid-simulation. Zero starts small and grows on
 	// demand.
 	ExpectedVMs int
-	// RecycleReleased frees a released VM's controller state for reuse by
-	// later requests, folding its final accounting into retained aggregate
-	// totals (Report and Customers are unchanged; the time-derived figures
-	// are exact because the fold sums integer durations). Per-VM
-	// introspection (DescribeVM, Events, ListVMs) forgets recycled VMs.
-	// Default off: every VM's state is retained for the whole run, which
-	// the golden-figure experiments rely on.
+	// Deprecated: ignored; the fleet layout is the only layout. Kept
+	// because perfbench/traced.go and perfbench/workloads.go set it.
 	RecycleReleased bool
 
 	// Seed drives the controller's probabilistic policies.
@@ -225,11 +220,6 @@ type vmState struct {
 	// outlive the VM capture it and re-check liveness before touching the
 	// (possibly recycled) slot.
 	slot slab.Handle
-	// recycleDeferred defers slot recycling for a VM released while its
-	// provisioning chain is still in flight: the chain's released-exit
-	// point frees the slot instead of teardownVM, so the chain's pending
-	// continuation never reads a recycled slot.
-	recycleDeferred bool
 	// pinnedSrc is the terminated migration destination this VM's recovery
 	// chain still references as its source; the pin keeps that host's slot
 	// from being recycled until the chain re-enters completeMove.
@@ -413,14 +403,14 @@ type Controller struct {
 
 	nextVM int
 
-	// rentals tracks every native instance ever rented (for cost). Each
-	// entry memoizes its final cost once the instance terminates; with
-	// RecycleReleased the finalized entries periodically fold into
-	// rentalFinal so the ledger stays proportional to live instances.
+	// rentals tracks the rented native instances whose bills have not yet
+	// folded into rentalFinal (for cost). Each entry memoizes its final
+	// cost once the instance terminates, and the finalized entries
+	// periodically fold into rentalFinal so the ledger stays proportional
+	// to live instances.
 	rentals         []rental
 	rentalFinal     [3]cloud.USD // folded cost by rentalKind
 	rentalsScrubbed int          // ledger length after the last fold
-	retired         retiredVMStats
 
 	// lastAboveOD stamps when each market's price last met or exceeded
 	// the on-demand price (return hold-down, §4.3).
@@ -465,25 +455,6 @@ type marketSample struct {
 	price cloud.USD
 	od    cloud.USD
 	odOK  bool
-}
-
-// retiredVMStats accumulates the final accounting of VMs whose controller
-// state has been recycled (Config.RecycleReleased). All sums are integer
-// durations held in overflow-proof accumulators (durAcc — fleet-scale
-// service totals outgrow int64 nanoseconds), so totals are exactly what a
-// retained per-VM walk would produce regardless of fold order.
-type retiredVMStats struct {
-	service, down, degraded durAcc
-	maxDownSpell            simkit.Time
-	tcpBreaks               int
-	byCustomer              map[string]*retiredCustomer
-}
-
-type retiredCustomer struct {
-	vms      int
-	service  durAcc
-	stateful durAcc
-	down     durAcc
 }
 
 // ControllerStats counts controller-level events.
@@ -555,7 +526,6 @@ func New(cfg Config) (*Controller, error) {
 		acqIndex:    map[acqKey][]*pendingAcq{},
 		history:     NewHistory(),
 		names:       newEventNames(),
-		retired:     retiredVMStats{byCustomer: map[string]*retiredCustomer{}},
 		met:         newCoreMetrics(cfg.Metrics, cfg.Trace),
 	}
 	c.traceSrc = cfg.Trace.Register(c.names)
@@ -595,8 +565,8 @@ func (c *Controller) vmIDsSorted() []nestedvm.ID {
 	return ids
 }
 
-// lookupVM resolves an external VM id to its live state (nil if unknown or
-// recycled).
+// lookupVM resolves an external VM id to its state (nil if unknown).
+// Released VMs stay resolvable for DescribeVM and Events.
 func (c *Controller) lookupVM(id nestedvm.ID) *vmState {
 	h, ok := c.vmIndex[id]
 	if !ok {
@@ -614,11 +584,10 @@ func (c *Controller) lookupHost(id cloud.InstanceID) *hostState {
 	return c.hostSlab.Get(h)
 }
 
-// newVMState allocates a slab slot for a fresh VM, resetting any recycled
-// contents.
+// newVMState allocates a slab slot for a fresh VM.
 func (c *Controller) newVMState() *vmState {
 	vs, h := c.vmSlab.Alloc()
-	*vs = vmState{slot: h, events: vs.events[:0]}
+	*vs = vmState{slot: h}
 	return vs
 }
 
@@ -630,54 +599,6 @@ func (c *Controller) newHostState() *hostState {
 	*h = hostState{slot: slot}
 	h.vms = buf[:0]
 	return h
-}
-
-// freeVMSlot recycles a released VM's slab slot, folding its final
-// accounting into the retained aggregates first (RecycleReleased only).
-func (c *Controller) freeVMSlot(vs *vmState) {
-	vm := vs.vm
-	end := vs.serviceEnd
-	if end >= vm.Created {
-		// Fold exactly the per-VM contributions Report and Customers would
-		// have computed from the retained state. Every sum is an integer
-		// duration, so the fold is order-independent and exact.
-		life := end - vm.Created
-		d, g := vm.Ledger.Snapshot(end)
-		c.retired.service.add(life)
-		c.retired.down.add(d)
-		c.retired.degraded.add(g)
-		if spell := vm.Ledger.MaxDownSpell(end); spell > c.retired.maxDownSpell {
-			c.retired.maxDownSpell = spell
-		}
-		c.retired.tcpBreaks += vm.Ledger.SpellsExceeding(TCPTimeout, end)
-		rc := c.retired.byCustomer[vm.Customer]
-		if rc == nil {
-			rc = &retiredCustomer{}
-			c.retired.byCustomer[vm.Customer] = rc
-		}
-		rc.vms++
-		rc.service.add(life)
-		if !vs.stateless {
-			rc.stateful.add(life)
-		}
-		rc.down.add(d)
-	}
-	delete(c.vmIndex, vm.ID)
-	slot := vs.slot
-	// Keep the slot readable as "released" for any same-instant stale
-	// reader; the next Alloc resets it, reusing the timeline buffer.
-	*vs = vmState{phase: phaseReleased, events: vs.events[:0]}
-	c.vmSlab.Free(slot)
-}
-
-// releaseDeferredSlot frees a recycle-deferred VM slot at a provisioning
-// chain's released-exit point (see vmState.recycleDeferred).
-func (c *Controller) releaseDeferredSlot(vs *vmState) {
-	if !vs.recycleDeferred {
-		return
-	}
-	vs.recycleDeferred = false
-	c.freeVMSlot(vs)
 }
 
 // hostAddVM inserts a VM into its host's sorted resident list and keeps the
@@ -804,16 +725,11 @@ func (c *Controller) orderedPoolHosts(pool *poolState) []hostRef {
 	return pool.hosts
 }
 
-// maybeScrubRentals compacts the rental ledger in fleet mode: terminated
-// instances' bills never change, so their final costs fold into rentalFinal
-// and the entries drop. Amortized triggering (the ledger must double since
-// the last scrub) keeps the whole-ledger pass O(1) per append. Default runs
-// keep every entry — Report's per-entry summation order is part of the
-// golden digests.
+// maybeScrubRentals compacts the rental ledger: terminated instances'
+// bills never change, so their final costs fold into rentalFinal and the
+// entries drop. Amortized triggering (the ledger must double since the last
+// scrub) keeps the whole-ledger pass O(1) per append.
 func (c *Controller) maybeScrubRentals() {
-	if !c.cfg.RecycleReleased {
-		return
-	}
 	if len(c.rentals) < 64 || len(c.rentals) < 2*c.rentalsScrubbed {
 		return
 	}

@@ -34,11 +34,10 @@
 // accumulators (durAcc) that are bit-identical to the narrow arithmetic
 // until the sum actually overflows.
 //
-// By default every VM's state is retained for the whole run — the golden
-// figure experiments rely on per-VM introspection and on exact float
-// summation order. Fleet-scale runs opt in via Config: ExpectedVMs
-// pre-sizes the slabs and indexes, RecycleReleased returns released VM
-// slots (and retired hosts' slots) to the free lists after folding their
-// final accounting into integer-duration aggregates. Aggregate reports
-// are unchanged; per-VM introspection forgets recycled VMs.
+// Every VM's state is retained for the whole run, released VMs included,
+// so DescribeVM and Events keep answering for them. Retired hosts' slots
+// return to the host slab's free list, and the rental ledger folds
+// terminated instances' final bills into per-kind totals, so host and
+// billing state stays proportional to the live fleet. ExpectedVMs
+// pre-sizes the slabs and indexes.
 package core

@@ -64,13 +64,3 @@ func TestDurAccWideSum(t *testing.T) {
 		t.Error("positive() = false")
 	}
 }
-
-func TestDurAccAddAcc(t *testing.T) {
-	// Merging two accumulators whose remainders carry must normalize.
-	a := durAcc{hi: 1, lo: durChunk - 5}
-	b := durAcc{hi: 2, lo: 10}
-	a.addAcc(b)
-	if a.hi != 4 || a.lo != 5 {
-		t.Errorf("addAcc = {hi:%d lo:%d}, want {hi:4 lo:5}", a.hi, a.lo)
-	}
-}

@@ -16,30 +16,19 @@ import (
 // TestControllerInvariantsUnderRandomScenarios drives the full stack
 // through randomized storms, fleet churn, mechanisms and policies, then
 // audits the controller's bookkeeping. Every seed is an independent
-// adversarial scenario.
+// adversarial scenario; the create/release churn and revocations recycle
+// host slots, compact terminated instances and scrub the rental ledger
+// while the audit watches.
 func TestControllerInvariantsUnderRandomScenarios(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runRandomScenario(t, seed, false)
+			runRandomScenario(t, seed)
 		})
 	}
 }
 
-// TestControllerInvariantsFleetMode replays the adversarial scenarios with
-// every fleet-scale knob on — slab recycling on both sides, instance
-// compaction, prefix billing — so release/revocation churn exercises the
-// free lists under audit.
-func TestControllerInvariantsFleetMode(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runRandomScenario(t, seed, true)
-		})
-	}
-}
-
-func runRandomScenario(t *testing.T, seed int64, fleet bool) {
+func runRandomScenario(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	horizon := simkit.Time(10+rng.Intn(30)) * simkit.Day
 
@@ -59,17 +48,11 @@ func runRandomScenario(t *testing.T, seed int64, fleet bool) {
 	}
 
 	sched := simkit.NewScheduler()
-	platCfg := cloudsim.Config{
+	plat, err := cloudsim.New(sched, cloudsim.Config{
 		Traces:         traces,
 		Seed:           seed,
 		ODStockoutProb: float64(rng.Intn(3)) * 0.05, // 0, 5% or 10%
-	}
-	if fleet {
-		platCfg.ExpectedInstances = 32
-		platCfg.CompactTerminated = true
-		platCfg.PrefixBilling = true
-	}
-	plat, err := cloudsim.New(sched, platCfg)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,10 +78,6 @@ func runRandomScenario(t *testing.T, seed int64, fleet bool) {
 	}
 	if rng.Intn(3) == 0 {
 		cfg.Predictive = PredictiveConfig{Enabled: true}
-	}
-	if fleet {
-		cfg.ExpectedVMs = 16
-		cfg.RecycleReleased = true
 	}
 	ctrl, err := New(cfg)
 	if err != nil {

@@ -444,7 +444,7 @@ func (c *Controller) restoreOnDestination(vs *vmState, src, dst *hostState, stag
 		if staged && vs.phase == phaseRunning {
 			// Staging placement: schedule the second hop to a fresh
 			// on-demand server once the dust settles. The timer may outlive
-			// the VM (slot recycled) or the host (slot recycled for another
+			// the VM's service or the host (slot recycled for another
 			// instance), so it re-validates by handle generation and by
 			// instance id — instance ids are monotonic and never reused.
 			vh := vs.slot

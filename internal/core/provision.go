@@ -75,7 +75,6 @@ func (c *Controller) RequestServerWithOptions(opts ServerOptions) (nestedvm.ID, 
 // falls back to a direct on-demand host of the requested type.
 func (c *Controller) placeNew(vs *vmState, attempts int) {
 	if vs.phase == phaseReleased {
-		c.releaseDeferredSlot(vs)
 		return
 	}
 	if attempts >= 3 {
@@ -323,7 +322,6 @@ func (c *Controller) installVM(vs *vmState, h *hostState) {
 	if vs.phase == phaseReleased {
 		h.reserved--
 		c.hostFreed(h)
-		c.releaseDeferredSlot(vs)
 		return
 	}
 	vm := vs.vm
@@ -371,7 +369,6 @@ func (c *Controller) abortInstall(vs *vmState, h *hostState, err error) {
 		vs.vm.IP = cloud.Addr{}
 	}
 	if vs.phase == phaseReleased {
-		c.releaseDeferredSlot(vs)
 		return
 	}
 	if !errors.Is(err, cloud.ErrBadState) && !errors.Is(err, cloud.ErrCapacity) {
@@ -386,7 +383,6 @@ func (c *Controller) startService(vs *vmState, h *hostState) {
 	h.reserved--
 	if vs.phase == phaseReleased {
 		c.hostFreed(h)
-		c.releaseDeferredSlot(vs)
 		return
 	}
 	vm := vs.vm
@@ -505,7 +501,6 @@ func (c *Controller) ReleaseServer(id nestedvm.ID) error {
 func (c *Controller) teardownVM(vs *vmState) {
 	vm := vs.vm
 	wasRunning := vs.phase == phaseRunning
-	fromProvisioning := vs.phase == phaseProvisioning
 	vs.phase = phaseReleased
 	vs.serviceEnd = c.sched.Now()
 	c.met.vmsReleased.Inc()
@@ -543,15 +538,6 @@ func (c *Controller) teardownVM(vs *vmState) {
 		_ = c.prov.DetachVolume(vol, func(error) {
 			_ = c.prov.DeleteVolume(vol)
 		})
-	}
-	if c.cfg.RecycleReleased {
-		if fromProvisioning {
-			// The provisioning chain still holds a continuation with this
-			// state; it frees the slot at its released-exit point.
-			vs.recycleDeferred = true
-		} else {
-			c.freeVMSlot(vs)
-		}
 	}
 }
 

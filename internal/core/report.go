@@ -90,11 +90,6 @@ func (d *durAcc) add(t simkit.Time) {
 	}
 }
 
-func (d *durAcc) addAcc(o durAcc) {
-	d.hi += o.hi
-	d.add(simkit.Time(o.lo))
-}
-
 func (d durAcc) positive() bool { return d.hi > 0 || d.lo > 0 }
 
 // ns is the total in float64 nanoseconds; with hi == 0 it equals
@@ -143,21 +138,10 @@ func (c *Controller) Customers() []CustomerReport {
 		stateful durAcc
 		down     durAcc
 	}
-	byName := make(map[string]*acc, len(c.retired.byCustomer))
+	byName := map[string]*acc{}
 	var totalService, totalStateful durAcc
-	// Recycled VMs (fleet mode) folded their whole contribution into the
-	// retired accumulators when their slots were freed; every sum is an
-	// integer duration, so the seed is exact regardless of fold order.
-	for name, rc := range c.retired.byCustomer {
-		byName[name] = &acc{vms: rc.vms, service: rc.service, stateful: rc.stateful, down: rc.down}
-		totalService.addAcc(rc.service)
-		totalStateful.addAcc(rc.stateful)
-	}
 	for _, id := range c.vmIDsSorted() {
 		vs := c.lookupVM(id)
-		if vs == nil {
-			continue
-		}
 		vm := vs.vm
 		if vm.Created == 0 && vs.phase == phaseProvisioning {
 			continue
@@ -221,17 +205,9 @@ func (c *Controller) Report() Report {
 	now := c.sched.Now()
 	r := Report{At: now, Stats: c.Stats()}
 
-	// Seed from the retired accumulators (recycled VMs, fleet mode); the
-	// live walk below adds only VMs whose slots are still tracked.
-	down, degraded := c.retired.down, c.retired.degraded
-	serviceTotal := c.retired.service
-	r.MaxDownSpell = c.retired.maxDownSpell
-	r.TCPBreaks = c.retired.tcpBreaks
+	var down, degraded, serviceTotal durAcc
 	for _, id := range c.vmIDsSorted() {
 		vs := c.lookupVM(id)
-		if vs == nil {
-			continue
-		}
 		vm := vs.vm
 		if vm.Created == 0 && vs.phase == phaseProvisioning {
 			continue // never entered service
@@ -261,8 +237,8 @@ func (c *Controller) Report() Report {
 		r.Availability = 1
 	}
 
-	// Rentals scrubbed out of the ledger (fleet mode) folded their final
-	// costs into rentalFinal; live entries are summed below. A terminated
+	// Rentals scrubbed out of the ledger folded their final costs into
+	// rentalFinal; live entries are summed below. A terminated
 	// instance's bill never changes, so it is memoized on first read.
 	r.HostCost = c.rentalFinal[rentalHost]
 	r.BackupCost = c.rentalFinal[rentalBackup]

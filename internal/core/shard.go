@@ -1,52 +1,14 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/cloud"
-	"repro/internal/nestedvm"
-)
-
-// Sharded partitions customers across independent controllers — §5's
-// scalability note: "if [the centralized controller] is [a bottleneck],
-// replicating it by partitioning customers across multiple independent
-// controllers is straightforward." Each shard owns its own pools and
-// backup servers; customers hash to a fixed shard so their VMs share
-// slicing and backup locality.
-type Sharded struct {
-	shards []*Controller
-}
-
-// NewSharded builds n controllers from the factory (called once per shard
-// index; give each shard its own seed for independent policy streams).
-func NewSharded(n int, factory func(shard int) (Config, error)) (*Sharded, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("core: need at least one shard")
-	}
-	s := &Sharded{shards: make([]*Controller, n)}
-	for i := 0; i < n; i++ {
-		cfg, err := factory(i)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		ctrl, err := New(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		s.shards[i] = ctrl
-	}
-	return s, nil
-}
-
-// Shards returns the underlying controllers.
-func (s *Sharded) Shards() []*Controller { return append([]*Controller(nil), s.shards...) }
+import "repro/internal/cloud"
 
 // ShardIndex hashes a customer name to its home shard among n shards
 // (FNV-1a). The mapping depends only on the name and the shard count —
 // never on seeds, request order or controller state — so a customer's home
-// shard is stable across runs and across processes. Callers that build
-// shards lazily (the experiments engine's parallel sharded runs) use it to
-// partition a fleet without constructing a Sharded first.
+// shard is stable across runs and across processes. The experiments
+// engine's sharded runs use it to partition a fleet across independent
+// controllers, §5's "partitioning customers across multiple independent
+// controllers".
 func ShardIndex(customer string, n int) int {
 	const (
 		offset = 14695981039346656037
@@ -58,51 +20,6 @@ func ShardIndex(customer string, n int) int {
 		h *= prime
 	}
 	return int(h % uint64(n))
-}
-
-// shardFor hashes a customer to its home shard.
-func (s *Sharded) shardFor(customer string) *Controller {
-	return s.shards[ShardIndex(customer, len(s.shards))]
-}
-
-// RequestServer provisions a VM on the customer's home shard.
-func (s *Sharded) RequestServer(customer, typeName string) (nestedvm.ID, error) {
-	return s.shardFor(customer).RequestServer(customer, typeName)
-}
-
-// RequestServerWithOptions provisions with options on the home shard.
-func (s *Sharded) RequestServerWithOptions(opts ServerOptions) (nestedvm.ID, error) {
-	return s.shardFor(opts.Customer).RequestServerWithOptions(opts)
-}
-
-// ReleaseServer releases a VM; the id is searched across shards since ids
-// are shard-local.
-func (s *Sharded) ReleaseServer(id nestedvm.ID) error {
-	for _, c := range s.shards {
-		if _, err := c.DescribeVM(id); err == nil {
-			return c.ReleaseServer(id)
-		}
-	}
-	return fmt.Errorf("core: unknown VM %s", id)
-}
-
-// DescribeVM finds a VM on whichever shard holds it.
-func (s *Sharded) DescribeVM(id nestedvm.ID) (VMInfo, error) {
-	for _, c := range s.shards {
-		if info, err := c.DescribeVM(id); err == nil {
-			return info, nil
-		}
-	}
-	return VMInfo{}, fmt.Errorf("core: unknown VM %s", id)
-}
-
-// Report aggregates all shards' accounting into one fleet view.
-func (s *Sharded) Report() Report {
-	reports := make([]Report, len(s.shards))
-	for i, c := range s.shards {
-		reports[i] = c.Report()
-	}
-	return MergeReports(reports)
 }
 
 // MergeReports folds per-shard Reports into one fleet view, in slice order.

@@ -3,139 +3,13 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 	"testing"
 
 	"repro/internal/cloud"
-	"repro/internal/cloudsim"
 	"repro/internal/migration"
-	"repro/internal/nestedvm"
 	"repro/internal/simkit"
 	"repro/internal/spotmarket"
 )
-
-func nestedID(s string) nestedvm.ID { return nestedvm.ID(s) }
-
-func shardedRig(t *testing.T, shards int) (*simkit.Scheduler, *Sharded) {
-	t.Helper()
-	sched := simkit.NewScheduler()
-	traces := spotmarket.Set{}
-	for _, typ := range []string{cloud.M3Medium, cloud.M3Large} {
-		traces[spotmarket.MarketKey{Type: typ, Zone: "zone-a"}] = makeTrace(t, 0.01, testEnd,
-			spike{at: 10 * simkit.Hour, dur: simkit.Hour, price: 0.90})
-	}
-	plat, err := cloudsim.New(sched, cloudsim.Config{Traces: traces, Latencies: cloudsim.ZeroOpLatencies()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSharded(shards, func(i int) (Config, error) {
-		return Config{
-			Scheduler: sched,
-			Provider:  plat,
-			Mechanism: migration.SpotCheckLazy,
-			Placement: Policy1PM(),
-			Seed:      int64(i),
-		}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sched, s
-}
-
-func TestShardedPartitionsCustomers(t *testing.T) {
-	sched, s := shardedRig(t, 3)
-	customers := []string{"alice", "bob", "carol", "dave", "erin", "frank"}
-	ids := map[string][]string{}
-	for _, c := range customers {
-		for i := 0; i < 2; i++ {
-			id, err := s.RequestServer(c, cloud.M3Medium)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids[c] = append(ids[c], string(id))
-		}
-	}
-	sched.RunUntil(simkit.Hour)
-
-	// Each customer's VMs live on exactly one shard.
-	for _, c := range customers {
-		home := s.shardFor(c)
-		for _, id := range ids[c] {
-			if _, err := home.DescribeVM(nestedID(id)); err != nil {
-				t.Errorf("%s's VM %s not on its home shard", c, id)
-			}
-		}
-	}
-	// At least two shards are populated (hashing spreads six customers).
-	populated := 0
-	for _, c := range s.Shards() {
-		if len(c.ListVMs()) > 0 {
-			populated++
-		}
-	}
-	if populated < 2 {
-		t.Errorf("only %d shards populated", populated)
-	}
-	// Cross-shard lookups work.
-	anyID := nestedID(ids["alice"][0])
-	if _, err := s.DescribeVM(anyID); err != nil {
-		t.Errorf("DescribeVM across shards: %v", err)
-	}
-	if err := s.ReleaseServer(anyID); err != nil {
-		t.Errorf("ReleaseServer across shards: %v", err)
-	}
-	if _, err := s.DescribeVM("nvm-99999"); err == nil {
-		t.Error("unknown VM found")
-	}
-	if err := s.ReleaseServer("nvm-99999"); err == nil {
-		t.Error("unknown VM released")
-	}
-}
-
-func TestShardedAggregateReport(t *testing.T) {
-	sched, s := shardedRig(t, 2)
-	for _, c := range []string{"alice", "bob", "carol", "dave"} {
-		if _, err := s.RequestServer(c, cloud.M3Medium); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sched.RunUntil(20 * simkit.Hour) // through the spike
-
-	agg := s.Report()
-	var sumHours, sumCost float64
-	var sumMigrations int
-	for _, c := range s.Shards() {
-		r := c.Report()
-		sumHours += r.VMHours
-		sumCost += float64(r.TotalCost)
-		sumMigrations += r.Stats.Migrations
-	}
-	if math.Abs(agg.VMHours-sumHours) > 1e-9 {
-		t.Errorf("VMHours %v != shard sum %v", agg.VMHours, sumHours)
-	}
-	if math.Abs(float64(agg.TotalCost)-sumCost) > 1e-9 {
-		t.Errorf("cost %v != shard sum %v", agg.TotalCost, sumCost)
-	}
-	if agg.Stats.Migrations != sumMigrations {
-		t.Errorf("migrations %d != shard sum %d", agg.Stats.Migrations, sumMigrations)
-	}
-	if agg.Availability <= 0 || agg.Availability > 1 {
-		t.Errorf("aggregate availability = %v", agg.Availability)
-	}
-	if agg.Stats.Revocations == 0 {
-		t.Error("no revocations despite the spike")
-	}
-}
-
-func TestNewShardedValidation(t *testing.T) {
-	if _, err := NewSharded(0, nil); err == nil {
-		t.Error("zero shards accepted")
-	}
-	if _, err := NewSharded(1, func(int) (Config, error) { return Config{}, nil }); err == nil {
-		t.Error("invalid shard config accepted")
-	}
-}
 
 func TestEstimateMigration(t *testing.T) {
 	traces := spotmarket.Set{
@@ -224,16 +98,6 @@ func TestShardIndexStability(t *testing.T) {
 			}
 		}
 	}
-
-	// Sharded controllers built with different seeds agree on the home.
-	_, s1 := shardedRig(t, 3)
-	_, s2 := shardedRig(t, 3)
-	for _, name := range names {
-		a := ShardIndex(name, 3)
-		if s1.shardFor(name) != s1.shards[a] || s2.shardFor(name) != s2.shards[a] {
-			t.Errorf("shardFor(%q) disagrees with ShardIndex", name)
-		}
-	}
 }
 
 // TestMergeReportsFold checks the cross-shard report fold: plain sums for
@@ -283,77 +147,5 @@ func TestMergeReportsFold(t *testing.T) {
 
 	if empty := MergeReports(nil); empty.Availability != 1 {
 		t.Errorf("empty merge availability = %v, want 1", empty.Availability)
-	}
-}
-
-// TestShardedConcurrentRecycleStaleHandles drives one complete simulation
-// per shard on concurrent goroutines — the parallel engine's execution
-// shape — with slot recycling on, and checks stale VM handles stay inert:
-// a released VM's id keeps erroring even after its slab slot has been
-// recycled by later requests on the same shard. Run under -race this also
-// pins that shard event loops share no mutable state.
-func TestShardedConcurrentRecycleStaleHandles(t *testing.T) {
-	const shards = 4
-	var wg sync.WaitGroup
-	errs := make([]error, shards)
-	wg.Add(shards)
-	for s := 0; s < shards; s++ {
-		go func(s int) {
-			defer wg.Done()
-			errs[s] = func() error {
-				sched := simkit.NewScheduler()
-				traces := spotmarket.Set{
-					{Type: cloud.M3Medium, Zone: "zone-a"}: makeTrace(t, 0.01, testEnd),
-				}
-				plat, err := cloudsim.New(sched, cloudsim.Config{
-					Traces: traces, Latencies: cloudsim.ZeroOpLatencies(),
-				})
-				if err != nil {
-					return err
-				}
-				ctrl, err := New(Config{
-					Scheduler: sched, Provider: plat,
-					Mechanism: migration.SpotCheckLazy, Placement: Policy1PM(),
-					Seed: int64(s), RecycleReleased: true, ExpectedVMs: 8,
-				})
-				if err != nil {
-					return err
-				}
-				var stale []nestedvm.ID
-				for round := 0; round < 5; round++ {
-					var live []nestedvm.ID
-					for i := 0; i < 8; i++ {
-						id, err := ctrl.RequestServer(fmt.Sprintf("c%d-%d", s, i), cloud.M3Medium)
-						if err != nil {
-							return err
-						}
-						live = append(live, id)
-					}
-					sched.RunUntil(sched.Now() + simkit.Hour)
-					for _, id := range stale {
-						if _, err := ctrl.DescribeVM(id); err == nil {
-							return fmt.Errorf("stale handle %s resolved after recycling", id)
-						}
-						if err := ctrl.ReleaseServer(id); err == nil {
-							return fmt.Errorf("stale handle %s released twice", id)
-						}
-					}
-					for _, id := range live {
-						if err := ctrl.ReleaseServer(id); err != nil {
-							return err
-						}
-					}
-					sched.RunUntil(sched.Now() + simkit.Hour)
-					stale = append(stale, live...)
-				}
-				return nil
-			}()
-		}(s)
-	}
-	wg.Wait()
-	for s, err := range errs {
-		if err != nil {
-			t.Errorf("shard %d: %v", s, err)
-		}
 	}
 }

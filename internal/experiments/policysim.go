@@ -116,16 +116,8 @@ type PolicyRunConfig struct {
 	// shard-sized working set). Ignored unless Shards > 1.
 	ShardWorkers int
 
-	// FleetMode turns on every fleet-scale knob at once: pre-sized slabs
-	// and indexes on both sides (core.Config.ExpectedVMs, cloudsim
-	// ExpectedInstances), recycling of released VM state and terminated
-	// instance ledger slots (RecycleReleased, CompactTerminated),
-	// prefix-integral spot billing, and a /8 VPC so 100k+ nested VMs do
-	// not exhaust the address pool. Aggregate accounting is unchanged —
-	// time-derived report fields exactly, dollar totals to float
-	// re-association (see TestFleetModeReportEquivalence) — but per-VM
-	// introspection forgets recycled VMs, so the golden-figure runs leave
-	// it off.
+	// Deprecated: ignored; the fleet layout is the only layout. Kept
+	// because perfbench/traced.go and perfbench/workloads.go set it.
 	FleetMode bool
 	// Clock, when set, returns wall-clock nanoseconds and turns on the
 	// scale experiment's capacity measurements: RunPolicy times fleet
@@ -277,7 +269,14 @@ func runPolicyOne(cfg PolicyRunConfig, plan *shardPlan) (PolicyRunResult, error)
 		Seed:             cfg.Seed,
 		WarningWindow:    cfg.WarningWindow,
 		BillingIncrement: cfg.BillingIncrement,
-		Metrics:          reg,
+		// Peak live instances stay below the nested-VM count (hosts are
+		// sliced, backups multiplexed), so VMs + slack pre-sizes the ledger
+		// even through revocation churn: compaction recycles terminated
+		// slots before the fleet can outgrow them. The /8 VPC keeps 100k+
+		// nested VMs from exhausting the address pool.
+		ExpectedInstances: cfg.VMs + cfg.VMs/4 + 64,
+		VPC:               netip.MustParsePrefix("10.0.0.0/8"),
+		Metrics:           reg,
 	}
 	coreCfg := core.Config{
 		Scheduler:           sched,
@@ -290,20 +289,9 @@ func runPolicyOne(cfg PolicyRunConfig, plan *shardPlan) (PolicyRunResult, error)
 		MonitorInterval:     cfg.MonitorInterval,
 		NetworkAwareSlicing: cfg.NetworkAwareSlicing,
 		Workload:            cfg.Workload,
+		ExpectedVMs:         cfg.VMs,
 		Seed:                cfg.Seed,
 		Metrics:             reg,
-	}
-	if cfg.FleetMode {
-		// Peak live instances stay below the nested-VM count (hosts are
-		// sliced, backups multiplexed), so VMs + slack pre-sizes both
-		// ledgers even through revocation churn — compaction recycles
-		// terminated slots before the fleet can outgrow them.
-		platCfg.ExpectedInstances = cfg.VMs + cfg.VMs/4 + 64
-		platCfg.CompactTerminated = true
-		platCfg.PrefixBilling = true
-		platCfg.VPC = netip.MustParsePrefix("10.0.0.0/8")
-		coreCfg.ExpectedVMs = cfg.VMs
-		coreCfg.RecycleReleased = true
 	}
 	plat, err := cloudsim.New(sched, platCfg)
 	if err != nil {

@@ -15,7 +15,7 @@ import (
 // scale`, docs/SCALING.md). It answers the question the figures never ask:
 // how big a derivative cloud can one simulation process actually sustain?
 // Each rung of the ladder runs a synthetic fleet under the full controller
-// in fleet mode (slab-backed state, recycling, prefix billing) and reports
+// (slab-backed state, instance compaction, prefix billing) and reports
 // the two capacity numbers the benchbase baseline tracks:
 //
 //   - ns per simulated VM-hour — wall-clock cost of simulated time, the
@@ -86,7 +86,7 @@ type ScaleResult struct {
 
 // RunScale runs one rung: a synthetic fleet of cfg.VMs m3.medium nested
 // VMs under the 1P-M policy and lazy-restore SpotCheck migration — the
-// paper's headline configuration — with every fleet-mode knob on.
+// paper's headline configuration.
 //
 // Measurement protocol: the live heap is sampled (after a forced GC)
 // before the platform and controller are built and again after the run
@@ -127,7 +127,6 @@ func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 		Seed:            cfg.Seed,
 		MonitorInterval: cfg.MonitorInterval,
 		Traces:          traces,
-		FleetMode:       true,
 		Shards:          cfg.Shards,
 		ShardWorkers:    cfg.ShardWorkers,
 		Clock:           cfg.Clock,

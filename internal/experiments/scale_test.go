@@ -1,14 +1,17 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
-	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/cloud"
+	"repro/internal/cloudsim"
 	"repro/internal/core"
 	"repro/internal/migration"
 	"repro/internal/simkit"
+	"repro/internal/spotmarket"
 )
 
 // TestRunScaleSmoke runs one small rung end to end and checks every
@@ -68,70 +71,96 @@ func TestScaleLadderSharesTraces(t *testing.T) {
 	}
 }
 
-// TestFleetModeReportEquivalence is the old-vs-new state-equivalence pin
-// alongside TestPolicyMatrixGoldenDigest: the same paper-scale scenario run
-// with every fleet knob on (slab recycling, instance compaction, prefix
-// billing, rental scrubbing) must produce the same aggregate accounting as
-// the retain-everything default. Time-derived fields are integer-duration
-// sums, so they must match exactly; dollar totals re-associate float sums
-// (prefix integrals, scrub folds), so they get a 1e-9 relative tolerance.
-func TestFleetModeReportEquivalence(t *testing.T) {
-	cfg := PolicyRunConfig{
-		// The stormiest policy spreads the fleet across all four markets,
-		// so revocation churn exercises slot recycling on both sides.
-		Policy:    NamedPolicyFactories()[2], // 4P-ED
-		Mechanism: migration.SpotCheckLazy,
-		VMs:       24,
-		Horizon:   45 * simkit.Day,
-		Seed:      42,
-	}
-	base, err := RunPolicy(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.FleetMode = true
-	fleet, err := RunPolicy(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+// rentRecorder is a cloud.Provider that records every instance the
+// controller rents, so a test can bill them without the platform's ledger.
+type rentRecorder struct {
+	cloud.Provider
+	rented []*cloud.Instance
+}
 
-	br, fr := base.Report, fleet.Report
-	exact := []struct {
-		name       string
-		base, flee any
-	}{
-		{"VMHours", br.VMHours, fr.VMHours},
-		{"Availability", br.Availability, fr.Availability},
-		{"DegradedFraction", br.DegradedFraction, fr.DegradedFraction},
-		{"TotalDown", br.TotalDown, fr.TotalDown},
-		{"TotalDegraded", br.TotalDegraded, fr.TotalDegraded},
-		{"MaxDownSpell", br.MaxDownSpell, fr.MaxDownSpell},
-		{"TCPBreaks", br.TCPBreaks, fr.TCPBreaks},
-		{"Stats", br.Stats, fr.Stats},
-		{"StormSizes", br.StormSizes, fr.StormSizes},
-		{"MaxStorm", br.MaxStorm, fr.MaxStorm},
-		{"BackupServers", br.BackupServers, fr.BackupServers},
-		{"BackupVMsMax", br.BackupVMsMax, fr.BackupVMsMax},
+func (r *rentRecorder) RunOnDemand(typ string, zone cloud.Zone, cb cloud.InstanceCallback) {
+	r.Provider.RunOnDemand(typ, zone, r.record(cb))
+}
+
+func (r *rentRecorder) RequestSpot(typ string, zone cloud.Zone, bid cloud.USD, cb cloud.InstanceCallback) {
+	r.Provider.RequestSpot(typ, zone, bid, r.record(cb))
+}
+
+func (r *rentRecorder) record(cb cloud.InstanceCallback) cloud.InstanceCallback {
+	return func(inst *cloud.Instance, err error) {
+		if err == nil {
+			r.rented = append(r.rented, inst)
+		}
+		cb(inst, err)
 	}
-	for _, f := range exact {
-		if !reflect.DeepEqual(f.base, f.flee) {
-			t.Errorf("Report.%s: default %v, fleet mode %v", f.name, f.base, f.flee)
+}
+
+// TestReportCostMatchesInstanceOracle bills every instance a paper-scale run
+// rents with an independent oracle — Trace.Integrate over the instance's
+// life for spot, rate × hours for on-demand — and holds the report's bill
+// to it. The report reaches those bills through prefix-integral billing,
+// the final bills compaction keeps for terminated instances, and the
+// rental ledger's scrub folds, so drift in any of them shows here. Prefix
+// integrals and folds re-associate float sums, hence the 1e-9 relative
+// tolerance.
+func TestReportCostMatchesInstanceOracle(t *testing.T) {
+	const horizon = 45 * simkit.Day
+	traces, err := EvalTraces(horizon, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := simkit.NewScheduler()
+	plat, err := cloudsim.New(sched, cloudsim.Config{Traces: traces, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &rentRecorder{Provider: plat}
+	ctrl, err := core.New(core.Config{
+		Scheduler: sched,
+		Provider:  rec,
+		Mechanism: migration.SpotCheckLazy,
+		// The stormiest policy spreads the fleet across all four markets,
+		// so revocation churn terminates (and compacts) many instances.
+		Placement: NamedPolicyFactories()[2].New(), // 4P-ED
+		Seed:      42,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 24; i++ {
+		if _, err := ctrl.RequestServer(fmt.Sprintf("customer-%d", i%4), cloud.M3Medium); err != nil {
+			t.Fatal(err)
 		}
 	}
-	approx := []struct {
-		name       string
-		base, flee float64
-	}{
-		{"HostCost", float64(br.HostCost), float64(fr.HostCost)},
-		{"BackupCost", float64(br.BackupCost), float64(fr.BackupCost)},
-		{"SpareCost", float64(br.SpareCost), float64(fr.SpareCost)},
-		{"TotalCost", float64(br.TotalCost), float64(fr.TotalCost)},
-		{"CostPerVMHour", float64(br.CostPerVMHour), float64(fr.CostPerVMHour)},
-	}
-	for _, f := range approx {
-		if !closeRel(f.base, f.flee, 1e-9) {
-			t.Errorf("Report.%s: default %.15g, fleet mode %.15g (beyond 1e-9 relative)", f.name, f.base, f.flee)
+	sched.RunUntil(horizon)
+	rep := ctrl.Report()
+
+	var oracle float64
+	terminated := 0
+	for _, inst := range rec.rented {
+		end := sched.Now()
+		if inst.State == cloud.StateTerminated {
+			end = inst.Ended
+			terminated++
 		}
+		switch inst.Market {
+		case cloud.MarketSpot:
+			tr := traces[spotmarket.MarketKey{Type: inst.Type.Name, Zone: inst.Zone}]
+			oracle += float64(tr.Integrate(inst.Launched, end))
+		case cloud.MarketOnDemand:
+			oracle += float64(inst.Type.OnDemand) * end.Sub(inst.Launched).Hours()
+		}
+	}
+	// The ledger scrub needs 64 rentals before it folds anything.
+	if len(rec.rented) < 128 || terminated < len(rec.rented)/2 {
+		t.Fatalf("%d rentals, %d terminated: too little churn to exercise compaction and the scrub", len(rec.rented), terminated)
+	}
+	if rep.BillingErrors != 0 {
+		t.Fatalf("%d billing errors: %s", rep.BillingErrors, rep.BillingErrSample)
+	}
+	got := float64(rep.HostCost + rep.BackupCost + rep.SpareCost)
+	if !closeRel(got, oracle, 1e-9) {
+		t.Errorf("report bills %.15g, per-instance oracle %.15g (beyond 1e-9 relative)", got, oracle)
 	}
 }
 
@@ -148,7 +177,6 @@ func TestFleetAccountingSurvivesInt64Overflow(t *testing.T) {
 		VMs:       1000,
 		Horizon:   SixMonths,
 		Seed:      0,
-		FleetMode: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -141,8 +141,8 @@ func retry()               {}
 	wantFindings(t, runOne(t, ErrDiscipline, "internal/core", src))
 }
 
-// Returning a freshly constructed value (the Sharded.DescribeVM shape:
-// per-shard misses end in a new fmt.Errorf) is handling, not a swallow.
+// Returning a freshly constructed value (a search across several owners
+// whose misses end in a new fmt.Errorf) is handling, not a swallow.
 func TestErrDisciplineReturnConstructsValue(t *testing.T) {
 	src := `package core
 

@@ -20,9 +20,8 @@ import (
 //
 // The price paid is float association: F(b) - F(a) rounds differently
 // from the segment-ordered summation Trace.Integrate performs, so results
-// can differ in the last ulps. The default simulation paths keep the
-// segment walk (the golden figures are pinned to its exact rounding);
-// prefix billing is opt-in for fleet runs (cloudsim's PrefixBilling knob).
+// can differ in the last ulps. cloudsim bills every spot instance this
+// way; Trace.Integrate stays as the tests' oracle.
 type PrefixIntegral struct {
 	tr *Trace
 	// cum[i] is the integral of price dt over [0, points[i].T) in $·hr.

@@ -23,12 +23,25 @@ func TestControllerInvariantsUnderRandomScenarios(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runRandomScenario(t, seed)
+			runRandomScenario(t, seed, false)
 		})
 	}
 }
 
-func runRandomScenario(t *testing.T, seed int64) {
+// TestControllerInvariantsFleetMode replays the adversarial scenarios with
+// the fleet-scale pre-sizing hints on. The hints are smaller than some
+// scenarios' churn, so the instance ledger and the controller's VM and host
+// state both grow past their pre-sized capacity under audit.
+func TestControllerInvariantsFleetMode(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			runRandomScenario(t, seed, true)
+		})
+	}
+}
+
+func runRandomScenario(t *testing.T, seed int64, presize bool) {
 	rng := rand.New(rand.NewSource(seed))
 	horizon := simkit.Time(10+rng.Intn(30)) * simkit.Day
 
@@ -48,11 +61,15 @@ func runRandomScenario(t *testing.T, seed int64) {
 	}
 
 	sched := simkit.NewScheduler()
-	plat, err := cloudsim.New(sched, cloudsim.Config{
+	platCfg := cloudsim.Config{
 		Traces:         traces,
 		Seed:           seed,
 		ODStockoutProb: float64(rng.Intn(3)) * 0.05, // 0, 5% or 10%
-	})
+	}
+	if presize {
+		platCfg.ExpectedInstances = 8
+	}
+	plat, err := cloudsim.New(sched, platCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,6 +95,9 @@ func runRandomScenario(t *testing.T, seed int64) {
 	}
 	if rng.Intn(3) == 0 {
 		cfg.Predictive = PredictiveConfig{Enabled: true}
+	}
+	if presize {
+		cfg.ExpectedVMs = 4
 	}
 	ctrl, err := New(cfg)
 	if err != nil {
